@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check build test race test-race bench bench-query bench-frozen bench-serve bench-planner bench-load bench-load-rep bench-scale vet fmt-check fuzz fuzz-wire fuzz-mih fuzz-qcache fuzz-arena smoke debug-smoke lsm-smoke experiments examples clean
+.PHONY: all check build test race test-race bench bench-query bench-frozen bench-serve bench-planner bench-load bench-load-rep bench-scale vet fmt-check fuzz fuzz-wire fuzz-qcache fuzz-arena smoke debug-smoke lsm-smoke experiments examples clean
 
 all: build vet test
 
-check: build vet fmt-check test test-race fuzz-wire fuzz-mih fuzz-qcache fuzz-arena
+check: build vet fmt-check test test-race fuzz-wire fuzz-qcache fuzz-arena
 
 build:
 	$(GO) build ./...
@@ -40,7 +40,7 @@ bench-query:
 	$(GO) run ./cmd/habench -exp query
 
 # Frozen-index microbenchmarks: freeze (compile) time, flat-walk search and
-# top-k, and the near-single-copy v2 decode, then the pointer-vs-frozen
+# top-k, and the v4 encode and eager decode, then the pointer-vs-frozen
 # experiment rows (BENCH_query.json gains a "frozen" field per run).
 bench-frozen:
 	$(GO) test -run=NONE -bench='Freeze|Frozen' -benchmem ./internal/core/
@@ -84,20 +84,15 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeFrozen -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzFromString -fuzztime=15s ./internal/bitvec/
 	$(GO) test -fuzz=FuzzParseMutationFrames -fuzztime=30s ./internal/wire/
-	$(GO) test -fuzz=FuzzStatsRespDowngrade -fuzztime=30s ./internal/wire/
-	$(GO) test -fuzz=FuzzDecodeMIH -fuzztime=30s ./internal/mih/
+	$(GO) test -fuzz=FuzzStatsResp -fuzztime=30s ./internal/wire/
 
-# Short fuzz smoke of the protocol-v3 mutation-frame decoders and the
-# version-negotiated StatsResp encode/parse round-trip — cheap enough to run
-# on every check. Each -fuzz pattern must match exactly one target, so the
-# two fuzzers run as separate invocations.
+# Short fuzz smoke of the mutation-frame decoders and the StatsResp
+# encode/parse round trip — cheap enough to run on every check. Each -fuzz
+# pattern must match exactly one target, so the two fuzzers run as separate
+# invocations.
 fuzz-wire:
 	$(GO) test -run=NONE -fuzz=FuzzParseMutationFrames -fuzztime=5s ./internal/wire/
-	$(GO) test -run=NONE -fuzz=FuzzStatsRespDowngrade -fuzztime=5s ./internal/wire/
-
-# Short fuzz smoke of the MIH (HADX v3) codec's hostile-input hardening.
-fuzz-mih:
-	$(GO) test -run=NONE -fuzz=FuzzDecodeMIH -fuzztime=5s ./internal/mih/
+	$(GO) test -run=NONE -fuzz=FuzzStatsResp -fuzztime=5s ./internal/wire/
 
 # Short fuzz smoke of the result-cache key packing: distinct (code,
 # threshold, engine, shard, epoch) tuples must never collide to one key.

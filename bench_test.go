@@ -420,8 +420,9 @@ func BenchmarkAblationResidual(b *testing.B) {
 		}
 	})
 	b.Run("recompute-all", func(b *testing.B) {
+		var st haindex.SearchStats
 		for i := 0; i < b.N; i++ {
-			idx.SearchRecomputeAll(e.query(i), benchH)
+			idx.SearchRecomputeAll(e.query(i), benchH, &st)
 		}
 	})
 }

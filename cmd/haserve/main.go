@@ -20,24 +20,24 @@
 // threshold, engine, index epoch) — repeat queries under zipfian traffic
 // are answered without consuming an admission ticket. -shed-after DUR
 // bounds how long a request may wait for admission before the shard sheds
-// it with a polite overload frame that v5 clients retry with backoff
-// instead of counting as a replica failure.
+// it with a polite overload frame that clients retry with backoff instead
+// of counting as a replica failure.
 //
 // -engine picks the search access path for immutable serving: the default
 // "auto" builds the full engine set (HA walk, multi-index hashing, brute
 // scan) and routes each request through the measured cost-based planner;
 // "ha", "mih", or "scan" pin one engine. Clients can override per request
-// with their own -engine hint (protocol v4).
+// with their own -engine hint.
 //
-// -mmap (default on) serves a version-4 snapshot zero-copy: the arena is
-// aliased out of an mmap of the file, so startup cost and heap footprint
-// are independent of shard size (watch index.mapped_bytes vs
-// index.heap_bytes on /debug/obs). Older snapshot versions, -frozen=false,
-// and -mutable fall back to the eager reader automatically.
+// -mmap (default on) serves the snapshot zero-copy: the arena is aliased
+// out of an mmap of the file, so startup cost and heap footprint are
+// independent of shard size (watch index.mapped_bytes vs index.heap_bytes
+// on /debug/obs). -mmap=false decodes it onto the heap; -mutable always
+// does.
 //
 // With -mutable the snapshot seeds an LSM shard (internal/lsm) instead of
-// an immutable index: the server then also accepts protocol-v3 insert,
-// delete, and seal frames (haquery -insert/-delete/-seal), sealing the
+// an immutable index: the server then also accepts insert, delete, and
+// seal frames (haquery -insert/-delete/-seal), sealing the
 // memtable into frozen segments in the background past -memtable-max
 // entries and compacting the stack past -compact-at segments.
 package main
@@ -67,12 +67,11 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "also serve /debug/obs, /debug/traces, /debug/pprof on this HTTP address (e.g. 127.0.0.1:7071; bind loopback only)")
 		debugFile = flag.String("debug-port-file", "", "write the bound debug address to this file")
 		cacheN    = flag.Int("cache", 0, "result-cache entries keyed on (query, threshold, engine, epoch); 0 disables")
-		shedAfter = flag.Duration("shed-after", 0, "admission-wait budget before a request is shed with a polite overload frame (0 disables; v5 clients retry with backoff)")
-		shedReqs  = flag.String("shed-requests", "", "comma-separated request numbers answered with a shed frame (v5 sessions)")
+		shedAfter = flag.Duration("shed-after", 0, "admission-wait budget before a request is shed with a polite overload frame (0 disables; clients retry with backoff)")
+		shedReqs  = flag.String("shed-requests", "", "comma-separated request numbers answered with a shed frame")
 		idleTO    = flag.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = 30s, negative disables)")
 		writeTO   = flag.Duration("write-timeout", 0, "per-response write deadline (0 = 30s, negative disables)")
-		frozen    = flag.Bool("frozen", true, "serve the compiled (frozen) index; -frozen=false walks the pointer hierarchy")
-		mmapIdx   = flag.Bool("mmap", true, "serve a v4 snapshot zero-copy out of an mmap of the file; other versions fall back to the eager reader")
+		mmapIdx   = flag.Bool("mmap", true, "serve the snapshot zero-copy out of an mmap of the file; -mmap=false decodes it onto the heap")
 		engine    = flag.String("engine", "auto", "access path for immutable serving: auto (measured cost-based planner), ha, mih, or scan; -mutable always serves the LSM engine")
 
 		mutable     = flag.Bool("mutable", false, "serve a mutable LSM shard seeded from the snapshot; accepts insert/delete/seal")
@@ -111,8 +110,7 @@ func main() {
 		ShedAfter:    *shedAfter,
 		IdleTimeout:  *idleTO,
 		WriteTimeout: *writeTO,
-		PointerWalk:  !*frozen,
-		Mmap:         *mmapIdx && *frozen && !*mutable,
+		Mmap:         *mmapIdx && !*mutable,
 		Engine:       *engine,
 	}
 	if *mutable {
@@ -177,8 +175,8 @@ func main() {
 	}
 }
 
-// loadMutable seeds an LSM shard from a snapshot: the decoded index — either
-// form — becomes the shard's first immutable segment.
+// loadMutable seeds an LSM shard from a snapshot: the decoded index becomes
+// the shard's first immutable segment.
 func loadMutable(path string, memtableMax, compactAt int) (wire.SnapshotMeta, *lsm.Shard, error) {
 	meta, idx, err := wire.ReadSnapshotFile(path)
 	if err != nil {

@@ -61,7 +61,8 @@ func main() {
 	query := prints[4242]
 	for _, t := range []float64{0.95, 0.85, 0.7} {
 		t0 = time.Now()
-		matches, err := idx.Search(query, t)
+		var work haindex.SearchStats
+		matches, err := idx.SearchInto(query, t, &work)
 		if err != nil {
 			panic(err)
 		}
@@ -81,7 +82,7 @@ func main() {
 			panic("index disagrees with brute force")
 		}
 		fmt.Printf("T >= %.2f: %4d matches in %8v (index, %5d Hamming computations) vs %8v (scan) — %4.1fx\n",
-			t, len(matches), took.Round(time.Microsecond), idx.Stats.DistanceComputations,
+			t, len(matches), took.Round(time.Microsecond), work.DistanceComputations,
 			bruteTook.Round(time.Microsecond), float64(bruteTook)/float64(took))
 		if len(matches) > 0 {
 			fmt.Printf("          best: id %d at T=%.3f\n", matches[0].ID, matches[0].Similarity)

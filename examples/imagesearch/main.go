@@ -41,10 +41,11 @@ func main() {
 	query := images[123]
 	qcode := hashFn.Hash(query)
 	t0 = time.Now()
-	dup := idx.Search(qcode, 3)
+	var work haindex.SearchStats
+	dup := idx.SearchInto(qcode, 3, &work)
 	fmt.Printf("Hamming-select h=3 for image #123: %d near-duplicates in %v "+
 		"(%d distance computations vs %d for a scan)\n\n",
-		len(dup), time.Since(t0).Round(time.Microsecond), idx.Stats.DistanceComputations, n)
+		len(dup), time.Since(t0).Round(time.Microsecond), work.DistanceComputations, n)
 
 	// Approximate kNN-select via Hamming threshold escalation.
 	searcher := haindex.NewHammingKNN(idx, hashFn, images)

@@ -36,11 +36,12 @@ func main() {
 
 	// Example 1: Hamming-select with tq = "101100010", h = 3.
 	tq := haindex.MustCode("101100010")
-	matches := idx.Search(tq, 3)
+	var work haindex.SearchStats
+	matches := idx.SearchInto(tq, 3, &work)
 	sort.Ints(matches)
 	fmt.Printf("h-select(%s, S) at h=3: t%v\n", tq, matches)
 	fmt.Printf("  (paper's Example 1 expects {t0, t3, t4, t6})\n")
-	fmt.Printf("  work: %d distance computations for 8 tuples\n\n", idx.Stats.DistanceComputations)
+	fmt.Printf("  work: %d distance computations for 8 tuples\n\n", work.DistanceComputations)
 
 	// Table 3's trace query.
 	trace := haindex.MustCode("010001011")

@@ -368,12 +368,12 @@ func PGBJ(r, s []Vec, k int, opt JoinOptions) (*PGBJResult, error) {
 // broadcast in.
 func DecodeIndex(r io.Reader) (*DynamicIndex, error) { return core.DecodeDynamic(r) }
 
-// DecodeAnyIndex reads any index wire format — v1 pointer (DynamicIndex),
-// v2 frozen (FrozenIndex), or v3 MIH — dispatching on the header version.
+// DecodeAnyIndex reads either index wire format — v1 pointer (DynamicIndex)
+// or v4 frozen (FrozenIndex) — dispatching on the header version.
 func DecodeAnyIndex(r io.Reader) (SearchIndex, error) { return core.DecodeIndex(r) }
 
 // DecodeFrozenIndex reads a frozen index previously written with
-// (*FrozenIndex).Encode (wire format v2), rejecting v1 pointer payloads.
+// (*FrozenIndex).Encode (wire format v4), rejecting v1 pointer payloads.
 func DecodeFrozenIndex(r io.Reader) (*FrozenIndex, error) { return core.DecodeFrozen(r) }
 
 // ---- Similarity-aware relational operators (Section 7 direction) ----
@@ -481,10 +481,6 @@ func NewMIH(codes []Code, ids []int, opts MIHOptions) (*MIHIndex, error) {
 
 // MIHSearchIndex adapts an MIH engine to the read-only index surface.
 func MIHSearchIndex(m *MIHIndex) SearchIndex { return core.AsIndex(m) }
-
-// DecodeMIH reads an MIH engine previously written with (*MIHIndex).Encode
-// (wire format v3), rejecting other payloads.
-func DecodeMIH(r io.Reader) (*MIHIndex, error) { return mih.Decode(r) }
 
 // ---- Distributed filesystem simulation ----
 

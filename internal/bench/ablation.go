@@ -48,12 +48,13 @@ func Ablations(sc Scale) ([]Table, error) {
 		comps := 0
 		t0 := time.Now()
 		for _, q := range env.Queries {
+			var st core.SearchStats
 			if v.recompute {
-				idx.SearchRecomputeAll(q, h)
+				idx.SearchRecomputeAll(q, h, &st)
 			} else {
-				idx.Search(q, h)
+				idx.SearchInto(q, h, &st)
 			}
-			comps += idx.Stats.DistanceComputations
+			comps += st.DistanceComputations
 		}
 		dur = time.Since(t0) / time.Duration(len(env.Queries))
 		t.Rows = append(t.Rows, []string{

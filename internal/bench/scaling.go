@@ -33,8 +33,9 @@ func Scaling(sc Scale) ([]Table, error) {
 		nl := baseline.NewNestedLoop(env.Codes, nil)
 		var comps int
 		dhaT := timeQueries(env.Queries, func(q bitvec.Code) {
-			dha.Search(q, sc.Threshold)
-			comps += dha.Stats.DistanceComputations
+			var st core.SearchStats
+			dha.SearchInto(q, sc.Threshold, &st)
+			comps += st.DistanceComputations
 		})
 		nlT := timeQueries(env.Queries, func(q bitvec.Code) { nl.Search(q, sc.Threshold) })
 		ratio := float64(nlT) / float64(max64(dhaT, time.Nanosecond))

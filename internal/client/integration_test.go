@@ -80,7 +80,7 @@ func buildDeploymentEngine(t *testing.T, rng *rand.Rand, n, bits, parts int, rep
 	}
 	for m := 0; m < parts; m++ {
 		meta := wire.SnapshotMeta{Part: m, Parts: parts, Length: bits, Pivots: pivots}
-		idx := core.BuildDynamic(byPart[m], idsByPart[m], core.Options{})
+		idx := core.Freeze(core.BuildDynamic(byPart[m], idsByPart[m], core.Options{}))
 		var buf bytes.Buffer
 		if err := wire.WriteSnapshot(&buf, meta, idx); err != nil {
 			t.Fatal(err)

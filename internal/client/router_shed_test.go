@@ -12,8 +12,8 @@ import (
 	"haindex/internal/wire"
 )
 
-// startSheddingServer runs a minimal in-test shard server that handshakes at
-// protocol v5 and answers every subsequent request with MsgShed after delay —
+// startSheddingServer runs a minimal in-test shard server that handshakes
+// and answers every subsequent request with MsgShed after delay —
 // a shard that is permanently saturated. It returns its address and a counter
 // of accepted connections.
 func startSheddingServer(t *testing.T, delay time.Duration) (string, *atomic.Int32) {
@@ -38,7 +38,7 @@ func startSheddingServer(t *testing.T, delay time.Duration) (string, *atomic.Int
 				if err != nil || typ != wire.MsgHello {
 					return
 				}
-				ok := wire.HelloOK{Version: 5, Length: 32, Part: 0, Parts: 1}
+				ok := wire.HelloOK{Version: wire.Version, Length: 32, Part: 0, Parts: 1}
 				if err := wire.WriteFrame(conn, wire.MsgHelloOK, ok.Append(nil)); err != nil {
 					return
 				}
@@ -60,8 +60,8 @@ func startSheddingServer(t *testing.T, delay time.Duration) (string, *atomic.Int
 	return ln.Addr().String(), &dials
 }
 
-// startStatsServer runs a minimal in-test shard server that handshakes at
-// protocol v5 and answers every subsequent request with MsgStatsOK — a
+// startStatsServer runs a minimal in-test shard server that handshakes and
+// answers every subsequent request with MsgStatsOK — a
 // healthy, unloaded sibling. It returns its address and a counter of
 // requests served.
 func startStatsServer(t *testing.T) (string, *atomic.Int32) {
@@ -85,7 +85,7 @@ func startStatsServer(t *testing.T) (string, *atomic.Int32) {
 				if err != nil || typ != wire.MsgHello {
 					return
 				}
-				ok := wire.HelloOK{Version: 5, Length: 32, Part: 0, Parts: 1}
+				ok := wire.HelloOK{Version: wire.Version, Length: 32, Part: 0, Parts: 1}
 				if err := wire.WriteFrame(conn, wire.MsgHelloOK, ok.Append(nil)); err != nil {
 					return
 				}
@@ -95,7 +95,7 @@ func startStatsServer(t *testing.T) (string, *atomic.Int32) {
 					}
 					served.Add(1)
 					st := wire.StatsResp{Requests: int64(served.Load())}
-					if err := wire.WriteFrame(conn, wire.MsgStatsOK, st.AppendVersion(nil, 5)); err != nil {
+					if err := wire.WriteFrame(conn, wire.MsgStatsOK, st.Append(nil)); err != nil {
 						return
 					}
 				}

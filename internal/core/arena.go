@@ -12,16 +12,15 @@ import (
 
 // HADX v4 — the mmap-native frozen arena layout.
 //
-// Unlike v2 (varints, big-endian words, incremental parse) every integer in
-// v4 is fixed-width little-endian and every array sits at an 8-byte-aligned
-// offset, so a mapped file can be aliased in place: the word slabs become
-// []uint64 and the CSR arrays []int32 views straight into the page cache,
-// with no decode pass and no heap copy. A section table up front carries the
-// (offset, byte-size) of each array; hostile-input validation runs on that
-// table and on the small structural int32 arrays (bounds, monotonicity,
-// level order), never on the big word slabs — any bit pattern in a code or
-// residual word is a valid code, so the walks cannot be driven out of bounds
-// by slab contents.
+// Every integer is fixed-width little-endian and every array sits at an
+// 8-byte-aligned offset, so a mapped file can be aliased in place: the word
+// slabs become []uint64 and the CSR arrays []int32 views straight into the
+// page cache, with no decode pass and no heap copy. A section table up front
+// carries the (offset, byte-size) of each array; hostile-input validation
+// runs on that table and on the small structural int32 arrays (bounds,
+// monotonicity, level order), never on the big word slabs — any bit pattern
+// in a code or residual word is a valid code, so the walks cannot be driven
+// out of bounds by slab contents.
 //
 // Layout (byte offsets):
 //
@@ -45,8 +44,8 @@ import (
 //	      resSlab    nNodes*2*nw × uint64
 //	      maskSlab   nNodes*nw × uint64
 //
-// The version byte doubles as the uvarint DecodeIndex reads after the magic,
-// so v4 files flow through the same header as v1/v2/v3.
+// DecodeIndex tells the two HADX codecs apart by the byte after the magic:
+// 4 here, the uvarint 1 for the v1 Dynamic codec.
 const codecVersionArena = 4
 
 const (
@@ -117,10 +116,9 @@ func (c arenaCounts) sectionTable() ([arenaSectionCount][2]uint64, uint64) {
 	return table, cur
 }
 
-// EncodeArena writes the index in the HADX v4 mmap-native layout. With
+// Encode writes the index in the HADX v4 mmap-native layout. With
 // withIDs=false the id tables are zeroed (the leafless broadcast form).
-// Unlike the v2 codec it represents scattered (streamed-forest) roots.
-func (f *FrozenIndex) EncodeArena(w io.Writer, withIDs bool) error {
+func (f *FrozenIndex) Encode(w io.Writer, withIDs bool) error {
 	nn := len(f.childStart) - 1
 	c := arenaCounts{
 		length:  uint64(f.length),
@@ -164,8 +162,8 @@ func (f *FrozenIndex) EncodeArena(w io.Writer, withIDs bool) error {
 		}
 	}
 
-	// Section bodies, with up-to-7 zero pad bytes between them. The chunked
-	// bulk copies mirror writeWordsBulk: one Write per 512 words.
+	// Section bodies, with up-to-7 zero pad bytes between them. The bulk
+	// copies go through a stack chunk, one Write per 512 words.
 	var chunk [512 * 8]byte
 	cur := uint64(arenaHeaderSize)
 	pad := func(to uint64) error {
@@ -263,8 +261,8 @@ func (f *FrozenIndex) EncodeArena(w io.Writer, withIDs bool) error {
 	return bw.Flush()
 }
 
-// EncodedSizeArena returns the exact v4 file size without encoding.
-func (f *FrozenIndex) EncodedSizeArena(withIDs bool) int {
+// EncodedSize returns the exact v4 file size without encoding.
+func (f *FrozenIndex) EncodedSize(withIDs bool) int {
 	nn := len(f.childStart) - 1
 	c := arenaCounts{
 		length:  uint64(f.length),
@@ -345,10 +343,9 @@ func DecodeArenaBytes(data []byte, alias bool) (*FrozenIndex, error) {
 
 	nw := int(c.length+63) / 64
 	f := &FrozenIndex{
-		length:    int(c.length),
-		n:         int(c.n),
-		nw:        nw,
-		arenaForm: true,
+		length: int(c.length),
+		n:      int(c.n),
+		nw:     nw,
 	}
 	if alias && canAliasArena {
 		f.rootIDs = aliasI32(secs[secRoots])
@@ -435,20 +432,14 @@ func (f *FrozenIndex) validateStructure(c arenaCounts) error {
 	return nil
 }
 
-// decodeArenaBody is the DecodeIndex dispatch target: the bufio reader sits
-// just past the magic and the version byte (read as a uvarint), so the three
-// pad bytes and everything after are still in the stream. It reassembles the
-// full image and parses it copying — io.Reader input has no stable backing to
-// alias.
-func decodeArenaBody(br *bufio.Reader) (Index, error) {
-	rest, err := io.ReadAll(br)
+// DecodeFrozen reads a frozen index previously written by
+// (*FrozenIndex).Encode, copying it onto the heap. Corrupt input returns an
+// error, never panics.
+func DecodeFrozen(r io.Reader) (*FrozenIndex, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading arena: %w", err)
 	}
-	data := make([]byte, 0, 5+len(rest))
-	data = append(data, codecMagic...)
-	data = append(data, codecVersionArena)
-	data = append(data, rest...)
 	return DecodeArenaBytes(data, false)
 }
 

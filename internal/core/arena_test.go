@@ -23,28 +23,25 @@ func validArenaEncoding(tb testing.TB, withIDs bool) ([]byte, *FrozenIndex) {
 	}
 	frozen := Freeze(BuildDynamic(codes, ids, Options{}))
 	var buf bytes.Buffer
-	if err := frozen.EncodeArena(&buf, withIDs); err != nil {
+	if err := frozen.Encode(&buf, withIDs); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes(), frozen
 }
 
-// TestArenaRoundTrip: EncodeArena∘DecodeArenaBytes is the identity on the
+// TestArenaRoundTrip: Encode∘DecodeArenaBytes is the identity on the
 // search surface for both the copying and (when the host allows) aliasing
 // parse, with and without id tables, and DecodeIndex dispatches v4 bytes.
 func TestArenaRoundTrip(t *testing.T) {
 	for _, withIDs := range []bool{true, false} {
 		data, orig := validArenaEncoding(t, withIDs)
-		if got := orig.EncodedSizeArena(withIDs); got != len(data) {
-			t.Fatalf("withIDs=%v: EncodedSizeArena %d, encoded %d bytes", withIDs, got, len(data))
+		if got := orig.EncodedSize(withIDs); got != len(data) {
+			t.Fatalf("withIDs=%v: EncodedSize %d, encoded %d bytes", withIDs, got, len(data))
 		}
 		for _, alias := range []bool{false, true} {
 			got, err := DecodeArenaBytes(data, alias)
 			if err != nil {
 				t.Fatalf("withIDs=%v alias=%v: %v", withIDs, alias, err)
-			}
-			if !got.arenaForm {
-				t.Fatal("decoded arena not marked arenaForm")
 			}
 			if got.Length() != orig.Length() || got.GroupCount() != orig.GroupCount() ||
 				got.NodeCount() != orig.NodeCount() || got.EdgeCount() != orig.EdgeCount() {
@@ -73,9 +70,8 @@ func TestArenaRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fi, ok := idx.(*FrozenIndex)
-		if !ok || !fi.arenaForm {
-			t.Fatalf("DecodeIndex returned %T (arenaForm=%v) for a v4 encoding", idx, ok && fi.arenaForm)
+		if _, ok := idx.(*FrozenIndex); !ok {
+			t.Fatalf("DecodeIndex returned %T for a v4 encoding", idx)
 		}
 	}
 }
@@ -97,7 +93,7 @@ func TestMapFrozenMatchesEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := frozen.EncodeArena(fd, true); err != nil {
+	if err := frozen.Encode(fd, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := fd.Close(); err != nil {
@@ -165,18 +161,18 @@ func TestMapFrozenMatchesEager(t *testing.T) {
 }
 
 // TestArenaStreamedRoundTrip: a FrozenStreamWriter arena (scattered roots)
-// survives the v4 round trip — the v2 codec must refuse it, the arena codec
-// must preserve it.
+// survives the v4 round trip.
 func TestArenaStreamedRoundTrip(t *testing.T) {
 	f := buildStreamedArena(t, 900, 64, 128)
-	if f.rootsContiguous() {
+	scattered := false
+	for i, r := range f.rootIDs {
+		scattered = scattered || r != int32(i)
+	}
+	if !scattered {
 		t.Skip("streamed build happened to produce contiguous roots")
 	}
-	if err := f.Encode(&bytes.Buffer{}, true); err == nil {
-		t.Fatal("v2 codec accepted scattered roots")
-	}
 	var buf bytes.Buffer
-	if err := f.EncodeArena(&buf, true); err != nil {
+	if err := f.Encode(&buf, true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeArenaBytes(buf.Bytes(), false)
@@ -314,16 +310,11 @@ func FuzzSectionTable(f *testing.F) {
 	})
 }
 
-// BenchmarkEncodeFrozenV2 pins the bulk writeWords path: encoding throughput
-// on a large slab should be memcpy-bound, not per-word-Write-bound.
-func BenchmarkEncodeFrozenV2(b *testing.B) {
+func BenchmarkEncodeFrozen(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	codes := clusteredCodes(rng, 20000, 128, 16, 3)
 	idx := Freeze(BuildDynamic(codes, nil, Options{}))
-	sz, err := idx.EncodedSize(true)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sz := idx.EncodedSize(true)
 	buf := bytes.NewBuffer(make([]byte, 0, sz))
 	b.ReportAllocs()
 	b.SetBytes(int64(sz))
@@ -331,23 +322,6 @@ func BenchmarkEncodeFrozenV2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
 		if err := idx.Encode(buf, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncodeArena(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	codes := clusteredCodes(rng, 20000, 128, 16, 3)
-	idx := Freeze(BuildDynamic(codes, nil, Options{}))
-	sz := idx.EncodedSizeArena(true)
-	buf := bytes.NewBuffer(make([]byte, 0, sz))
-	b.ReportAllocs()
-	b.SetBytes(int64(sz))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := idx.EncodeArena(buf, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -383,7 +357,7 @@ func benchArenaImage(b *testing.B) ([]byte, *FrozenIndex) {
 	codes := clusteredCodes(rng, 20000, 128, 16, 3)
 	idx := Freeze(BuildDynamic(codes, nil, Options{}))
 	var buf bytes.Buffer
-	if err := idx.EncodeArena(&buf, true); err != nil {
+	if err := idx.Encode(&buf, true); err != nil {
 		b.Fatal(err)
 	}
 	return buf.Bytes(), idx

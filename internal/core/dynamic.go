@@ -118,13 +118,6 @@ type DynamicIndex struct {
 
 	// buffer holds inserts not yet merged into the hierarchy (Section 4.5).
 	buffer []pendingInsert
-
-	// Stats describes the most recent Search/SearchCodes call.
-	//
-	// Deprecated: the field is a single-threaded convenience — Search copies
-	// the statistics back here, so concurrent callers sharing one index must
-	// use a Searcher (or SearchInto) and read per-searcher stats instead.
-	Stats SearchStats
 }
 
 type pendingInsert struct {
@@ -364,12 +357,11 @@ func (x *DynamicIndex) Len() int { return x.n + len(x.buffer) }
 func (x *DynamicIndex) Length() int { return x.length }
 
 // Search returns the ids of all tuples whose codes are within Hamming
-// distance h of q (Algorithm 3, H-Search). It records per-query work in
-// x.Stats; concurrent callers sharing one index (e.g. reducers searching a
-// broadcast index) should use SearchInto with their own stats.
+// distance h of q (Algorithm 3, H-Search). Callers that want the per-query
+// work use SearchInto or a Searcher.
 func (x *DynamicIndex) Search(q bitvec.Code, h int) []int {
-	x.Stats = SearchStats{}
-	return x.SearchInto(q, h, &x.Stats)
+	var stats SearchStats
+	return x.SearchInto(q, h, &stats)
 }
 
 // SearchInto is Search with caller-owned statistics; it does not mutate the
@@ -390,8 +382,8 @@ func (x *DynamicIndex) SearchInto(q bitvec.Code, h int, stats *SearchStats) []in
 // ids — the leafless mode used by MapReduce Hamming-join Option B, where a
 // post-processing join recovers the ids.
 func (x *DynamicIndex) SearchCodes(q bitvec.Code, h int) []bitvec.Code {
-	x.Stats = SearchStats{}
-	return x.SearchCodesInto(q, h, &x.Stats)
+	var stats SearchStats
+	return x.SearchCodesInto(q, h, &stats)
 }
 
 // SearchCodesInto is SearchCodes with caller-owned statistics, safe for

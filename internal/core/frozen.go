@@ -34,8 +34,8 @@ type FrozenIndex struct {
 	n      int // number of tuples
 	nw     int // words per code
 
-	// rootIDs lists the hierarchy roots. An index compiled by Freeze (or
-	// decoded from the v2 codec) has the contiguous roots [0, len(rootIDs));
+	// rootIDs lists the hierarchy roots. An index compiled by Freeze has the
+	// contiguous roots [0, len(rootIDs));
 	// a streamed arena (FrozenStreamWriter) concatenates chunk forests, so
 	// its roots are scattered. Either way every child id strictly exceeds
 	// its parent's, which is the invariant the walks and decoders rely on.
@@ -53,9 +53,6 @@ type FrozenIndex struct {
 	idSlab    []int
 	topLeaves []int32 // leaf groups linked at the top level
 
-	// arenaForm marks an index decoded from (or destined for) the v4
-	// mmap-native layout; wire snapshot anti-splicing checks read it.
-	arenaForm bool
 	// mapping, when non-nil, is the mmap'd file region every slab above
 	// aliases; munmap releases it. The slabs are then read-only: nothing may
 	// write through them (see bitvec.FromWordsShared).
@@ -142,7 +139,7 @@ func Freeze(x *DynamicIndex) *FrozenIndex {
 }
 
 // contiguousRoots returns the identity root list [0, n) — the layout Freeze
-// and the v2 codec produce.
+// produces.
 func contiguousRoots(n int) []int32 {
 	roots := make([]int32, n)
 	for i := range roots {
@@ -207,10 +204,6 @@ func (f *FrozenIndex) SizeBytes() int {
 // MappedBytes returns the size of the mmap'd file region backing the arena,
 // or 0 when every slab lives on the Go heap.
 func (f *FrozenIndex) MappedBytes() int { return len(f.mapping) }
-
-// ArenaForm reports whether this index came from (or is destined for) the
-// v4 mmap-native layout; the wire snapshot codec keys its version on it.
-func (f *FrozenIndex) ArenaForm() bool { return f.arenaForm }
 
 // HeapBytes returns the heap-resident share of the arena: SizeBytes for an
 // eagerly decoded index, zero for an mmap'd one — every array, down to the

@@ -129,29 +129,12 @@ func (e *searchMismatchError) Error() string {
 	return "concurrent frozen search mismatch"
 }
 
-// validFrozenEncoding freezes a small index and returns its v2 encoding.
-func validFrozenEncoding(tb testing.TB, withIDs bool) ([]byte, *FrozenIndex) {
-	tb.Helper()
-	rng := rand.New(rand.NewSource(157))
-	codes := clusteredCodes(rng, 60, 32, 3, 2)
-	ids := make([]int, len(codes))
-	for i := range ids {
-		ids[i] = i
-	}
-	frozen := Freeze(BuildDynamic(codes, ids, Options{}))
-	var buf bytes.Buffer
-	if err := frozen.Encode(&buf, withIDs); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes(), frozen
-}
-
 // TestFrozenCodecRoundTrip: Encode∘DecodeFrozen is the identity on the search
-// surface, with and without id tables, and DecodeIndex dispatches v2 bytes to
-// the frozen decoder.
+// surface, with and without id tables; DecodeIndex still hands v1 bytes to
+// the pointer decoder, and DecodeFrozen rejects them.
 func TestFrozenCodecRoundTrip(t *testing.T) {
 	for _, withIDs := range []bool{true, false} {
-		data, orig := validFrozenEncoding(t, withIDs)
+		data, orig := validArenaEncoding(t, withIDs)
 		got, err := DecodeFrozen(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("withIDs=%v: %v", withIDs, err)
@@ -180,15 +163,7 @@ func TestFrozenCodecRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		idx, err := DecodeIndex(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := idx.(*FrozenIndex); !ok {
-			t.Fatalf("DecodeIndex returned %T for a v2 encoding", idx)
-		}
 	}
-	// DecodeIndex must still hand v1 bytes to the pointer decoder.
 	idx, err := DecodeIndex(bytes.NewReader(validEncoding(t)))
 	if err != nil {
 		t.Fatal(err)
@@ -196,44 +171,34 @@ func TestFrozenCodecRoundTrip(t *testing.T) {
 	if _, ok := idx.(*DynamicIndex); !ok {
 		t.Fatalf("DecodeIndex returned %T for a v1 encoding", idx)
 	}
-	// DecodeFrozen must reject a v1 encoding outright.
 	if _, err := DecodeFrozen(bytes.NewReader(validEncoding(t))); err == nil {
 		t.Fatal("DecodeFrozen accepted a v1 pointer encoding")
 	}
 }
 
-// TestDecodeFrozenCorruptInput mirrors TestDecodeCorruptInput for the v2
-// layout: every guarded error path with hand-built inputs, plus truncations
-// of a real encoding.
+// TestDecodeFrozenCorruptInput: the reader entry point rejects short and
+// mislabelled input — including the retired v2/v3 version bytes — and
+// truncations of a real encoding. TestDecodeArenaCorruptInput covers the
+// section-table and structural checks behind it.
 func TestDecodeFrozenCorruptInput(t *testing.T) {
-	valid, _ := validFrozenEncoding(t, true)
+	valid, _ := validArenaEncoding(t, true)
+	relabel := func(version byte) []byte {
+		return corrupt(valid, func(d []byte) { d[4] = version })
+	}
 	cases := []struct {
 		name string
 		data []byte
 	}{
 		{"empty", nil},
 		{"short magic", []byte("HA")},
-		{"bad magic", []byte("XDAH\x02\x20\x00")},
-		{"missing version", []byte("HADX")},
-		{"v1 under frozen decoder", []byte("HADX\x01\x20\x00")},
-		{"missing length", []byte("HADX\x02")},
-		{"zero length", []byte("HADX\x02\x00\x00")},
-		// 1<<21 bits, over the plausibility cap.
-		{"huge length", []byte("HADX\x02\x80\x80\x80\x01\x00")},
-		{"missing counts", []byte("HADX\x02\x08\x00\x01")},
-		// 8-bit codes: 0 groups, 0 nodes but 1 root.
-		{"roots exceed nodes", []byte("HADX\x02\x08\x00\x00\x00\x01\x00\x00\x00")},
-		// Hostile node count (2^32) with no bytes behind it.
-		{"hostile node count", []byte("HADX\x02\x08\x00\x00\x90\x80\x80\x80\x10\x00")},
-		// 1 top leaf referencing a group that does not exist.
-		{"top leaf out of range", []byte("HADX\x02\x08\x00\x00\x00\x00\x00\x00\x01\x05")},
-		// 2 nodes, 1 root, 1 child edge: node 0 lists node 0 — a self-loop
-		// the level-order invariant must reject.
-		{"child out of level order", []byte("HADX\x02\x08\x00\x00\x02\x01\x01\x00\x00\x01\x00\x00")},
-		// Same header but the child degrees sum to 0, not the declared 1.
-		{"degree sum mismatch", []byte("HADX\x02\x08\x00\x00\x02\x01\x01\x00\x00\x00\x00")},
+		{"bad magic", corrupt(valid, func(d []byte) { copy(d, "XDAH") })},
+		{"header only", valid[:8]},
+		{"v1 version byte", relabel(1)},
+		{"v2 version byte", relabel(2)},
+		{"v3 version byte", relabel(3)},
+		{"v5 version byte", relabel(5)},
 	}
-	for _, cut := range []int{5, 8, len(valid) / 4, len(valid) / 2, len(valid) - 1} {
+	for _, cut := range []int{5, arenaHeaderSize - 1, len(valid) / 2, len(valid) - 8} {
 		cases = append(cases, struct {
 			name string
 			data []byte
@@ -249,12 +214,12 @@ func TestDecodeFrozenCorruptInput(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrozen mutates a known-valid v2 encoding — truncating and
-// flipping one byte, the FuzzDecodeIndex recipe — so the fuzzer reaches the
-// deep decoder states (CSR tables, slabs) that random prefixes rarely
+// FuzzDecodeFrozen mutates a known-valid encoding — truncating and flipping
+// one byte, the FuzzDecodeIndex recipe — so the fuzzer reaches the deep
+// decoder states (section table, CSR arrays) that random prefixes rarely
 // survive to. Decoding must either error or yield a usable index.
 func FuzzDecodeFrozen(f *testing.F) {
-	valid, _ := validFrozenEncoding(f, true)
+	valid, _ := validArenaEncoding(f, true)
 	f.Add(uint16(len(valid)), uint16(0), byte(0))
 	f.Add(uint16(len(valid)/2), uint16(5), byte(0xff))
 	f.Add(uint16(10), uint16(4), byte(1))

@@ -35,13 +35,6 @@ type StaticIndex struct {
 	byCode64 map[uint64]*leafGroup
 	groups   []*leafGroup
 	n        int
-
-	// Stats describes the most recent Search/SearchCodes call.
-	//
-	// Deprecated: the field is a single-threaded convenience — Search copies
-	// the statistics back here, so concurrent callers sharing one index must
-	// use a Searcher (or SearchInto) and read per-searcher stats instead.
-	Stats SearchStats
 }
 
 // BuildStatic builds a Static HA-Index with the given segment width (0
@@ -187,21 +180,15 @@ func staticSegKey(c bitvec.Code, from, width int) uint64 {
 // assembled full code of a surviving path is verified against the code map,
 // which filters the spurious paths a merged-layer graph can contain.
 //
-// Search copies the per-query statistics into s.Stats for single-threaded
-// callers; hot paths and concurrent callers should reuse a Searcher.
+// Hot paths and callers that want the per-query work should reuse a
+// Searcher.
 func (s *StaticIndex) Search(q bitvec.Code, h int) []int {
-	sr := NewSearcher(s)
-	out := sr.Search(q, h)
-	s.Stats = sr.Stats
-	return out
+	return NewSearcher(s).Search(q, h)
 }
 
 // SearchCodes returns the distinct qualifying codes instead of ids.
 func (s *StaticIndex) SearchCodes(q bitvec.Code, h int) []bitvec.Code {
-	sr := NewSearcher(s)
-	out := sr.SearchCodes(q, h)
-	s.Stats = sr.Stats
-	return out
+	return NewSearcher(s).SearchCodes(q, h)
 }
 
 // SearchInto is Search with caller-owned statistics; it does not mutate the

@@ -240,7 +240,7 @@ func newIndex(length, blocks, matched int) (*Index, error) {
 		return nil, fmt.Errorf("mih: %d-bit combination keys exceed 64 bits", keyBits)
 	}
 	// All matched-element subsets of the blocks, one table per subset; the
-	// count is bounded before enumerating so hostile codec parameters cannot
+	// count is bounded before enumerating so implausible Options cannot
 	// allocate unboundedly.
 	nt, err := tableCount(blocks, matched)
 	if err != nil {
@@ -270,7 +270,7 @@ func newIndex(length, blocks, matched int) (*Index, error) {
 }
 
 // tableCount computes C(blocks, matched), refusing configurations whose
-// table count would be implausible (the codec feeds decoded parameters here).
+// table count would be implausible.
 func tableCount(blocks, matched int) (int, error) {
 	c := 1
 	for i := 0; i < matched; i++ {

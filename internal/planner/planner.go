@@ -280,7 +280,7 @@ func (p *Planner) calibrate(probes int, rng *rand.Rand) {
 				case UseMIH:
 					srMIH.Search(q, h)
 				case UseScan:
-					p.scan(q, h, nil, nil)
+					p.Scan(q, h, nil, nil)
 				}
 			}
 			measured[gi][s] = float64(time.Since(start).Nanoseconds()) / float64(len(queries))
@@ -308,8 +308,11 @@ func (p *Planner) calibrate(probes int, rng *rand.Rand) {
 	}
 }
 
-// scan is the brute-force path; out may be nil for a timing-only run.
-func (p *Planner) scan(q bitvec.Code, h int, out []int, stats *core.SearchStats) []int {
+// Scan is the brute-force path over the Engines' Codes and IDs, appending
+// matches to out; with out and stats both nil it is a timing-only run that
+// collects nothing. It only reads the immutable engine arrays, so it is
+// safe for concurrent use.
+func (p *Planner) Scan(q bitvec.Code, h int, out []int, stats *core.SearchStats) []int {
 	for i, c := range p.eng.Codes {
 		if _, ok := q.DistanceWithin(c, h); ok {
 			if out != nil || stats != nil {
@@ -460,7 +463,7 @@ func (p *Planner) SelectWith(s Strategy, q bitvec.Code, h int) ([]int, core.Sear
 		out = append(out, p.srMIH.Search(q, h)...)
 		stats = p.srMIH.Stats
 	case UseScan:
-		out = p.scan(q, h, []int{}, &stats)
+		out = p.Scan(q, h, []int{}, &stats)
 	default:
 		if p.srHA == nil {
 			p.srHA = core.NewSearcher(p.eng.HA)

@@ -239,8 +239,8 @@ func (sh *cshard) sampleVictim() (string, uint32) {
 }
 
 // Warmth reports the cache's current occupancy and lifetime hit/miss
-// counts — the cheap signal a server exports (wire.StatsResp, protocol v6)
-// so a client router can prefer the replica whose cache is already hot.
+// counts — the cheap signal a server exports (wire.StatsResp) so a client
+// router can prefer the replica whose cache is already hot.
 func (c *Cache) Warmth() (entries, hits, misses int64) {
 	return c.entries.Value(), c.hits.Value(), c.misses.Value()
 }

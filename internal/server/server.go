@@ -6,9 +6,9 @@
 // and a client router (internal/client) fans queries across them.
 //
 // A server built with NewMutable serves an lsm.Shard instead of a fixed
-// index and additionally answers the protocol-v3 mutation frames
-// (insert/delete/seal); mutations are applied synchronously, so an
-// acknowledged write is visible to every subsequent search.
+// index and additionally answers the mutation frames (insert/delete/seal);
+// mutations are applied synchronously, so an acknowledged write is visible
+// to every subsequent search.
 package server
 
 import (
@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
@@ -41,29 +42,21 @@ type Options struct {
 	// smoke runs). Nil injects nothing.
 	Faults *FaultPlan
 
-	// Mmap makes LoadSnapshotFile serve a version-4 snapshot zero-copy: the
-	// embedded arena is aliased straight out of an mmap of the file, so the
-	// shard is query-ready in milliseconds regardless of size and its slabs
-	// stay in the page cache instead of the Go heap. Snapshots in any other
-	// version (or on platforms without the mmap fast path) silently fall
-	// back to the eager reader — same answers, eager cost. The server owns
-	// the mapping and releases it on Close.
+	// Mmap makes LoadSnapshotFile serve the snapshot zero-copy: the embedded
+	// arena is aliased straight out of an mmap of the file, so the shard is
+	// query-ready in milliseconds regardless of size and its slabs stay in
+	// the page cache instead of the Go heap. On platforms without the mmap
+	// fast path the arena is decoded eagerly — same answers, eager cost. The
+	// server owns the mapping and releases it on Close.
 	Mmap bool
-
-	// PointerWalk disables the default freeze-on-load: LoadSnapshotFile
-	// normally compiles a pointer (v1) snapshot into a core.FrozenIndex
-	// before serving, which is faster and smaller at query time. Set this to
-	// serve the decoded pointer hierarchy as-is (the haserve -frozen=false
-	// escape hatch). Frozen (v2) snapshots are already flat and ignore it.
-	PointerWalk bool
 
 	// Engine selects the access path for search requests on an immutable
 	// server. "ha" (or empty) serves the loaded index directly and is the
 	// only mode a mutable server accepts. Anything else builds the full
 	// engine set (MIH, scan arrays, measured-cost planner) from the loaded
 	// index at construction: "auto" routes each request through the planner,
-	// "mih" and "scan" pin one engine. A per-request wire hint (protocol v4)
-	// overrides the mode, but may only name engines this option enabled.
+	// "mih" and "scan" pin one engine. A per-request wire hint overrides
+	// the mode, but may only name engines this option enabled.
 	Engine string
 
 	// CacheEntries, when positive, puts a result cache (internal/qcache) in
@@ -76,8 +69,7 @@ type Options struct {
 	// top-k request still waiting for an admission ticket past it is
 	// answered with a polite MsgShed instead of queueing further. The
 	// budget scales with the request's wire priority class (interactive
-	// 2x, normal 1x, batch 1/2x). Sessions negotiated below protocol
-	// version 5 cannot parse MsgShed and block as before. 0 disables.
+	// 2x, normal 1x, batch 1/2x). 0 disables.
 	ShedAfter time.Duration
 
 	// IdleTimeout bounds how long a connection may sit between frames (and
@@ -113,7 +105,7 @@ type Server struct {
 	ownsIdx bool
 
 	// shard, when non-nil, makes this a mutable server: searches go through
-	// the LSM layering and the v3 mutation frames are accepted.
+	// the LSM layering and the mutation frames are accepted.
 	shard *lsm.Shard
 
 	// pool holds the idle per-engine searcher bundles; its capacity is the
@@ -123,14 +115,12 @@ type Server struct {
 	pool chan *searcherSet
 
 	// Multi-engine serving state (immutable servers with Options.Engine other
-	// than "ha"): the planner owns the cost model and the shared MIH engine;
-	// fixedStrategy pins the decision for the "mih"/"scan" modes; scanCodes
-	// and scanIDs drive the server's own concurrent brute-scan path.
+	// than "ha"): the planner owns the cost model, the shared MIH engine and
+	// the scan arrays; fixedStrategy pins the decision for the "mih"/"scan"
+	// modes.
 	pl            *planner.Planner
 	planned       bool // Engine == "auto": ask the planner per request
 	fixedStrategy planner.Strategy
-	scanCodes     []bitvec.Code
-	scanIDs       []int
 
 	// cache, when non-nil, answers repeated searches ahead of admission.
 	cache *qcache.Cache
@@ -193,10 +183,9 @@ type searcherSet struct {
 	mih *core.Searcher
 }
 
-// New builds a server over a decoded snapshot — the pointer
-// *core.DynamicIndex, the compiled *core.FrozenIndex, or an adapted engine
-// such as MIH. The index must not be mutated once serving starts — the
-// searcher pool shares it read-only.
+// New builds a server over a decoded snapshot — the compiled
+// *core.FrozenIndex, or a pointer *core.DynamicIndex. The index must not be
+// mutated once serving starts — the searcher pool shares it read-only.
 func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) {
 	if idx.Length() != meta.Length {
 		return nil, fmt.Errorf("server: index is %d-bit, snapshot header says %d", idx.Length(), meta.Length)
@@ -214,8 +203,6 @@ func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) 
 	} else if sized, ok := idx.(interface{ SizeBytes() int }); ok {
 		heap = sized.SizeBytes()
 	}
-	s.reg.Gauge("index.mapped_bytes").Set(int64(mapped))
-	s.reg.Gauge("index.heap_bytes").Set(int64(heap))
 	switch s.opts.Engine {
 	case "ha":
 		// Single-engine serving; no planner, no auxiliary structures.
@@ -238,7 +225,9 @@ func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) 
 			return nil, fmt.Errorf("server: building planner: %w", err)
 		}
 		s.pl = pl
-		s.scanCodes, s.scanIDs = codes, ids
+		// The tuple copies hold one Code header per tuple (their words
+		// alias the index) plus the id slice; MIH owns its own arenas.
+		heap += m.SizeBytes() + cap(codes)*int(unsafe.Sizeof(bitvec.Code{})) + cap(ids)*int(unsafe.Sizeof(int(0)))
 		switch s.opts.Engine {
 		case "auto":
 			s.planned = true
@@ -250,6 +239,8 @@ func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) 
 	default:
 		return nil, fmt.Errorf("server: unknown engine %q (want ha, auto, mih, or scan)", s.opts.Engine)
 	}
+	s.reg.Gauge("index.mapped_bytes").Set(int64(mapped))
+	s.reg.Gauge("index.heap_bytes").Set(int64(heap))
 	for i := 0; i < cap(s.pool); i++ {
 		set := &searcherSet{ha: core.NewSearcher(idx)}
 		if s.pl != nil {
@@ -261,18 +252,12 @@ func New(meta wire.SnapshotMeta, idx core.Index, opts Options) (*Server, error) 
 }
 
 // indexTuples extracts the (id, code) pairs backing an index so the server
-// can build the auxiliary engines. Every servable index — dynamic, frozen,
-// or an adapted engine like MIH — enumerates its tuples.
+// can build the auxiliary engines. Both servable index forms enumerate
+// their tuples.
 func indexTuples(idx core.Index) ([]bitvec.Code, []int, error) {
-	type tupler interface {
+	src, ok := idx.(interface {
 		Tuples(func(id int, code bitvec.Code))
-	}
-	src, ok := idx.(tupler)
-	if !ok {
-		if ei, isEng := idx.(*core.EngineIndex); isEng {
-			src, ok = ei.Engine().(tupler)
-		}
-	}
+	})
 	if !ok {
 		return nil, nil, fmt.Errorf("index type %T cannot enumerate tuples", idx)
 	}
@@ -287,8 +272,7 @@ func indexTuples(idx core.Index) ([]bitvec.Code, []int, error) {
 
 // NewMutable builds a server over a mutable LSM shard. The caller keeps
 // ownership of the shard's lifecycle up to Close, which waits out the
-// shard's background seals and compactions. Insert/delete/seal frames are
-// only reachable on sessions that negotiated protocol version 3 or later.
+// shard's background seals and compactions.
 func NewMutable(meta wire.SnapshotMeta, sh *lsm.Shard, opts Options) (*Server, error) {
 	if sh.Length() != meta.Length {
 		return nil, fmt.Errorf("server: shard is %d-bit, snapshot header says %d", sh.Length(), meta.Length)
@@ -382,30 +366,25 @@ func (s *Server) Obs() *obs.Registry { return s.reg }
 // Tracer returns the ring of recent request traces.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
-// LoadSnapshotFile is New over a snapshot file on disk. A pointer (v1)
-// snapshot is compiled with core.Freeze before serving unless
-// Options.PointerWalk is set; a frozen (v2) snapshot is served as decoded; a
-// version-4 snapshot is mmap'd zero-copy when Options.Mmap is set.
+// LoadSnapshotFile is New over a snapshot file on disk: the frozen index is
+// mmap'd zero-copy when Options.Mmap is set, else decoded onto the heap.
 func LoadSnapshotFile(path string, opts Options) (*Server, error) {
 	if opts.Mmap {
-		if meta, idx, err := wire.MapSnapshotFile(path); err == nil {
-			srv, err := New(meta, idx, opts)
-			if err != nil {
-				idx.Close()
-				return nil, err
-			}
-			srv.ownsIdx = true
-			return srv, nil
+		meta, idx, err := wire.MapSnapshotFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("server: mapping snapshot %s: %w", path, err)
 		}
-		// Not a v4 snapshot (or no mmap on this platform): fall through to
-		// the eager reader — downward negotiation, same answers.
+		srv, err := New(meta, idx, opts)
+		if err != nil {
+			idx.Close()
+			return nil, err
+		}
+		srv.ownsIdx = true
+		return srv, nil
 	}
 	meta, idx, err := wire.ReadSnapshotFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("server: loading snapshot %s: %w", path, err)
-	}
-	if dyn, ok := idx.(*core.DynamicIndex); ok && !opts.PointerWalk {
-		idx = core.Freeze(dyn)
 	}
 	return New(meta, idx, opts)
 }
@@ -497,7 +476,7 @@ func (s *Server) Close() error {
 
 // Stats returns a snapshot of the serving counters. The latency percentile
 // fields summarize the per-request search and top-k histograms; the warmth
-// fields (protocol v6) expose the result cache's occupancy and hit counters
+// fields expose the result cache's occupancy and hit counters
 // plus the admission queue's state, so a router can see which replica is
 // hot and which is drowning.
 func (s *Server) Stats() Stats {
@@ -578,14 +557,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		writeErr("bad hello: %v", err)
 		return
 	}
-	// Negotiate downward: any client up to this build's version is served at
-	// the lower of the two feature levels; a client from the future is
-	// refused loudly.
-	if hello.Version < 1 || hello.Version > wire.Version {
-		writeErr("protocol version %d not supported (server speaks %d)", hello.Version, wire.Version)
+	// One protocol version: a client built from any other is refused
+	// loudly rather than sent frames it would misparse.
+	if hello.Version != wire.Version {
+		writeErr("client speaks protocol version %d, server speaks %d", hello.Version, wire.Version)
 		return
 	}
-	nego := hello.Version
 	tuples := 0
 	if s.shard != nil {
 		tuples = s.shard.Len()
@@ -593,7 +570,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		tuples = s.idx.Len()
 	}
 	ok := wire.HelloOK{
-		Version: nego,
+		Version: wire.Version,
 		Length:  s.meta.Length,
 		Part:    s.meta.Part,
 		Parts:   s.meta.Parts,
@@ -637,9 +614,8 @@ func (s *Server) handleConn(conn net.Conn) {
 				}
 				continue
 			}
-			if f.Shed && nego >= 5 {
-				// A deterministic shed for smoke tests; sessions too old to
-				// parse MsgShed are served normally instead.
+			if f.Shed {
+				// A deterministic shed for smoke tests.
 				s.faultsInjected.Add(1)
 				s.faultCount.Inc()
 				respType, resp := s.shedResp(wire.PriorityNormal, 0)
@@ -651,9 +627,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			var respType wire.MsgType
 			var resp []byte
 			if t == wire.MsgSearch {
-				respType, resp = s.answerSearch(payload, nego, tr)
+				respType, resp = s.answerSearch(payload, tr)
 			} else {
-				respType, resp = s.answerTopK(payload, nego, tr)
+				respType, resp = s.answerTopK(payload, tr)
 			}
 			if respType == wire.MsgError {
 				s.errors.Add(1)
@@ -673,22 +649,12 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 		case wire.MsgStats:
 			t0 := time.Now()
-			st := s.Stats()
-			// Older peers reject trailing bytes: encode exactly the field
-			// groups the negotiated version includes (warmth needs v6,
-			// latency percentiles v2).
-			ok := writeMsg(wire.MsgStatsOK, st.AppendVersion(nil, nego))
+			ok := writeMsg(wire.MsgStatsOK, s.Stats().Append(nil))
 			s.histStats.RecordSince(t0)
 			if !ok {
 				return
 			}
 		case wire.MsgInsert, wire.MsgDelete, wire.MsgSeal:
-			if nego < 3 {
-				if !writeErr("%s requires protocol version 3 (session negotiated %d)", t, nego) {
-					return
-				}
-				continue
-			}
 			if s.shard == nil {
 				if !writeErr("shard is immutable: %s refused", t) {
 					return
@@ -758,20 +724,6 @@ func (s *Server) pickStrategy(req wire.SearchReq) (planner.Strategy, error) {
 	return s.fixedStrategy, nil
 }
 
-// scan is the server's brute-force path; unlike the planner's convenience
-// scan it is stateless and safe to run from many batch workers at once.
-func (s *Server) scan(q bitvec.Code, h int, stats *core.SearchStats) []int {
-	var out []int
-	for i, c := range s.scanCodes {
-		if _, ok := q.DistanceWithin(c, h); ok {
-			out = append(out, s.scanIDs[i])
-		}
-	}
-	stats.DistanceComputations += len(s.scanCodes)
-	stats.LeavesChecked += len(s.scanCodes)
-	return out
-}
-
 // shedResp counts and encodes one shed answer.
 func (s *Server) shedResp(priority int, waited time.Duration) (wire.MsgType, []byte) {
 	s.cntShed.Inc()
@@ -781,7 +733,7 @@ func (s *Server) shedResp(priority int, waited time.Duration) (wire.MsgType, []b
 	return wire.MsgShed, wire.ShedResp{WaitNs: waited.Nanoseconds()}.Append(nil)
 }
 
-func (s *Server) answerSearch(payload []byte, nego int, tr *obs.Trace) (wire.MsgType, []byte) {
+func (s *Server) answerSearch(payload []byte, tr *obs.Trace) (wire.MsgType, []byte) {
 	req, err := wire.ParseSearchReq(payload, s.meta.Length)
 	if err != nil {
 		return wire.MsgError, wire.ErrorMsg{Msg: err.Error()}.Append(nil)
@@ -837,7 +789,7 @@ func (s *Server) answerSearch(payload []byte, nego int, tr *obs.Trace) (wire.Msg
 		}
 	}
 	if len(miss) > 0 {
-		set, shed, waited := s.admit(s.shedBudget(nego, req.Priority), tr)
+		set, shed, waited := s.admit(s.shedBudget(req.Priority), tr)
 		if shed {
 			return s.shedResp(req.Priority, waited)
 		}
@@ -854,7 +806,7 @@ func (s *Server) answerSearch(payload []byte, nego int, tr *obs.Trace) (wire.Msg
 					ids = set.mih.Search(req.Queries[i], req.H)
 					stats = set.mih.Stats
 				case planner.UseScan:
-					ids = s.scan(req.Queries[i], req.H, &stats)
+					ids = s.pl.Scan(req.Queries[i], req.H, nil, &stats)
 				default:
 					ids = set.ha.Search(req.Queries[i], req.H)
 					stats = set.ha.Stats
@@ -884,7 +836,7 @@ func (s *Server) answerSearch(payload []byte, nego int, tr *obs.Trace) (wire.Msg
 	return wire.MsgSearchOK, resp.Append(nil)
 }
 
-func (s *Server) answerTopK(payload []byte, nego int, tr *obs.Trace) (wire.MsgType, []byte) {
+func (s *Server) answerTopK(payload []byte, tr *obs.Trace) (wire.MsgType, []byte) {
 	req, err := wire.ParseTopKReq(payload, s.meta.Length)
 	if err != nil {
 		return wire.MsgError, wire.ErrorMsg{Msg: err.Error()}.Append(nil)
@@ -899,7 +851,7 @@ func (s *Server) answerTopK(payload []byte, nego int, tr *obs.Trace) (wire.MsgTy
 		// Top-k answers are not cached (the k-way merge keys on k, not H,
 		// and the traffic is a sliver of select volume) but they respect
 		// the same admission budget: an overloaded shard sheds them too.
-		set, shed, waited := s.admit(s.shedBudget(nego, wire.PriorityNormal), tr)
+		set, shed, waited := s.admit(s.shedBudget(wire.PriorityNormal), tr)
 		if shed {
 			return s.shedResp(wire.PriorityNormal, waited)
 		}
@@ -982,9 +934,9 @@ func (s *Server) answerSeal(payload []byte) (wire.MsgType, []byte) {
 
 // shedBudget resolves the admission-wait budget for one request: the
 // configured ShedAfter scaled by the wire priority class. Zero means block
-// indefinitely (shedding off, or a session too old to parse MsgShed).
-func (s *Server) shedBudget(nego, priority int) time.Duration {
-	if s.opts.ShedAfter <= 0 || nego < 5 {
+// indefinitely (shedding off).
+func (s *Server) shedBudget(priority int) time.Duration {
+	if s.opts.ShedAfter <= 0 {
 		return 0
 	}
 	switch priority {

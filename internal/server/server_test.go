@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +20,7 @@ import (
 	"haindex/internal/core"
 	"haindex/internal/histo"
 	"haindex/internal/lsm"
+	"haindex/internal/mih"
 	"haindex/internal/obs"
 	"haindex/internal/wire"
 )
@@ -173,18 +176,28 @@ func TestServerSearchMatchesLocalIndex(t *testing.T) {
 	}
 }
 
+// TestServerRejectsVersionMismatch: a client one version behind or ahead is
+// refused with an error frame naming both versions — there is no
+// negotiation.
 func TestServerRejectsVersionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	meta, idx, _ := testShard(t, rng, 100, 16, 2, 0)
 	s := startTestServer(t, meta, idx, Options{})
-	c := dialTest(t, s)
-	rt, resp := c.roundTrip(wire.MsgHello, wire.Hello{Version: wire.Version + 9}.Append(nil))
-	if rt != wire.MsgError {
-		t.Fatalf("mismatched version answered %s", rt)
-	}
-	em, err := wire.ParseErrorMsg(resp)
-	if err != nil || em.Msg == "" {
-		t.Fatalf("error frame: %+v %v", em, err)
+	for _, v := range []int{wire.Version - 1, wire.Version + 1} {
+		c := dialTest(t, s)
+		rt, resp := c.roundTrip(wire.MsgHello, wire.Hello{Version: v}.Append(nil))
+		if rt != wire.MsgError {
+			t.Fatalf("version %d answered %s", v, rt)
+		}
+		em, err := wire.ParseErrorMsg(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d", v), fmt.Sprintf("speaks %d", wire.Version)} {
+			if !strings.Contains(em.Msg, want) {
+				t.Fatalf("version %d: error %q does not mention %q", v, em.Msg, want)
+			}
+		}
 	}
 }
 
@@ -299,7 +312,7 @@ func TestLoadSnapshotFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	meta, idx, _ := testShard(t, rng, 300, 32, 2, 1)
 	var buf bytes.Buffer
-	if err := wire.WriteSnapshot(&buf, meta, idx); err != nil {
+	if err := wire.WriteSnapshot(&buf, meta, core.Freeze(idx)); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "shard.hasn")
@@ -592,35 +605,40 @@ func TestServerEngineValidation(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotFileMmap: a v4 snapshot served with Options.Mmap aliases
-// its arena out of the file (mapped_bytes > 0, heap_bytes == 0), answers
-// exactly like an eager load, and releases the mapping on Close; a v2
-// snapshot under the same option falls back to the eager reader.
-func TestLoadSnapshotFileMmap(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	meta, idx, codes := testShard(t, rng, 400, 32, 2, 1)
-	frozen := core.Freeze(idx)
-	dir := t.TempDir()
-
-	v4 := filepath.Join(dir, "v4.hasn")
-	f, err := os.Create(v4)
+// writeSnapshotFile writes a frozen index as a snapshot file under dir.
+func writeSnapshotFile(t *testing.T, dir string, meta wire.SnapshotMeta, frozen *core.FrozenIndex) string {
+	t.Helper()
+	path := filepath.Join(dir, "shard.hasn")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteSnapshotArena(f, meta, frozen); err != nil {
+	if err := wire.WriteSnapshot(f, meta, frozen); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
-	s, err := LoadSnapshotFile(v4, Options{Mmap: true})
+// TestLoadSnapshotFileMmap: a snapshot served with Options.Mmap aliases its
+// arena out of the file (mapped_bytes > 0, heap_bytes == 0), answers
+// exactly like the source index, and releases the mapping on Close; without
+// the option the same file is decoded onto the heap.
+func TestLoadSnapshotFileMmap(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	meta, idx, codes := testShard(t, rng, 400, 32, 2, 1)
+	frozen := core.Freeze(idx)
+	path := writeSnapshotFile(t, t.TempDir(), meta, frozen)
+
+	s, err := LoadSnapshotFile(path, Options{Mmap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := s.Obs().Snapshot().Gauges
 	fz, isFrozen := s.idx.(*core.FrozenIndex)
-	if !isFrozen || !fz.ArenaForm() {
+	if !isFrozen {
 		t.Fatalf("mmap load produced %T", s.idx)
 	}
 	if fz.MappedBytes() > 0 { // zero-copy path available on this platform
@@ -645,25 +663,32 @@ func TestLoadSnapshotFileMmap(t *testing.T) {
 		t.Fatal("Close did not release the mapping")
 	}
 
-	// v2 snapshot + Mmap option: downward negotiation to the eager reader.
-	v2 := filepath.Join(dir, "v2.hasn")
-	f, err = os.Create(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteSnapshot(f, meta, frozen); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := LoadSnapshotFile(v2, Options{Mmap: true})
+	s2, err := LoadSnapshotFile(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	g2 := s2.Obs().Snapshot().Gauges
 	if g2["index.mapped_bytes"] != 0 || g2["index.heap_bytes"] == 0 {
-		t.Fatalf("v2 fallback gauges mapped=%d heap=%d", g2["index.mapped_bytes"], g2["index.heap_bytes"])
+		t.Fatalf("eager load gauges mapped=%d heap=%d", g2["index.mapped_bytes"], g2["index.heap_bytes"])
+	}
+}
+
+// TestIndexHeapGaugeAutoMode: in auto mode over an mmap'd snapshot the arena
+// costs no heap, but the MIH engine and the scan's tuple copies do, and
+// index.heap_bytes must count them.
+func TestIndexHeapGaugeAutoMode(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	meta, idx, _ := testShard(t, rng, 400, 32, 2, 1)
+	path := writeSnapshotFile(t, t.TempDir(), meta, core.Freeze(idx))
+	s, err := LoadSnapshotFile(path, Options{Mmap: true, Engine: "auto"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	heap := s.Obs().Gauge("index.heap_bytes").Value()
+	m := s.pl.Engines().MIH.Engine().(*mih.Index)
+	if heap == 0 || heap < int64(m.SizeBytes()) {
+		t.Fatalf("index.heap_bytes = %d, MIH alone holds %d", heap, m.SizeBytes())
 	}
 }

@@ -35,8 +35,6 @@ type Index struct {
 	length  int
 	n       int
 	buckets map[int]*bucket
-	// Stats aggregates the Hamming search work of the last query.
-	Stats core.SearchStats
 }
 
 type bucket struct {
@@ -103,13 +101,19 @@ func (x *Index) Len() int { return x.n }
 // sorted by descending similarity (ties by ascending id). t must be in
 // (0, 1].
 func (x *Index) Search(q bitvec.Code, t float64) ([]Match, error) {
+	var stats core.SearchStats
+	return x.SearchInto(q, t, &stats)
+}
+
+// SearchInto is Search that also adds the Hamming search work to stats; it
+// does not mutate the index and is safe for concurrent use.
+func (x *Index) SearchInto(q bitvec.Code, t float64, stats *core.SearchStats) ([]Match, error) {
 	if q.Len() != x.length {
 		return nil, fmt.Errorf("tanimoto: %d-bit query against %d-bit index", q.Len(), x.length)
 	}
 	if t <= 0 || t > 1 {
 		return nil, fmt.Errorf("tanimoto: threshold %v outside (0, 1]", t)
 	}
-	x.Stats = core.SearchStats{}
 	qc := q.OnesCount()
 	var out []Match
 	if qc == 0 {
@@ -127,14 +131,13 @@ func (x *Index) Search(q bitvec.Code, t float64) ([]Match, error) {
 	lo := int(math.Ceil(t * float64(qc)))
 	hi := int(math.Floor(float64(qc) / t))
 	ratio := (1 - t) / (1 + t)
-	var stats core.SearchStats
 	for c := lo; c <= hi && c <= x.length; c++ {
 		b, ok := x.buckets[c]
 		if !ok {
 			continue
 		}
 		h := int(math.Floor(ratio * float64(qc+c)))
-		for _, pos := range b.idx.SearchInto(q, h, &stats) {
+		for _, pos := range b.idx.SearchInto(q, h, stats) {
 			// The Hamming bound is exact given the popcounts, but guard
 			// with the definition for clarity and float safety.
 			if s := Similarity(q, b.codes[pos]); s >= t-1e-12 {
@@ -142,7 +145,6 @@ func (x *Index) Search(q bitvec.Code, t float64) ([]Match, error) {
 			}
 		}
 	}
-	x.Stats = stats
 	sortMatches(out)
 	return out, nil
 }

@@ -153,11 +153,12 @@ func TestBucketPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := prints[0]
-	if _, err := idx.Search(q, 0.95); err != nil {
+	var st core.SearchStats
+	if _, err := idx.SearchInto(q, 0.95, &st); err != nil {
 		t.Fatal(err)
 	}
-	if idx.Stats.DistanceComputations >= len(prints) {
+	if st.DistanceComputations >= len(prints) {
 		t.Fatalf("no pruning: %d computations for %d prints",
-			idx.Stats.DistanceComputations, len(prints))
+			st.DistanceComputations, len(prints))
 	}
 }

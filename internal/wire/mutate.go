@@ -6,7 +6,7 @@ import (
 	"haindex/internal/bitvec"
 )
 
-// The version-3 mutation frames. A mutable shard server (internal/lsm
+// The mutation frames. A mutable shard server (internal/lsm
 // behind internal/server) answers InsertReq/DeleteReq/SealReq; an immutable
 // server refuses them with MsgError. All three responses carry the shard's
 // structural epoch so a client can observe when its writes caused a seal or

@@ -2,16 +2,18 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"haindex/internal/core"
 )
 
-// writeArenaSnapshot builds a frozen shard and writes it as a v4 snapshot
-// file, returning the path and the source index.
+// writeArenaSnapshot builds a frozen shard and writes it as a snapshot file,
+// returning the path and the source index.
 func writeArenaSnapshot(t *testing.T, dir string) (string, SnapshotMeta, *core.FrozenIndex) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(44))
@@ -22,7 +24,7 @@ func writeArenaSnapshot(t *testing.T, dir string) (string, SnapshotMeta, *core.F
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshotArena(f, meta, frozen); err != nil {
+	if err := WriteSnapshot(f, meta, frozen); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -31,7 +33,7 @@ func writeArenaSnapshot(t *testing.T, dir string) (string, SnapshotMeta, *core.F
 	return path, meta, frozen
 }
 
-// TestArenaSnapshotRoundTrip: a v4 snapshot reads back through both the
+// TestArenaSnapshotRoundTrip: a snapshot reads back through both the
 // eager ReadSnapshotFile and the zero-copy MapSnapshotFile, and both answer
 // exactly like the source index.
 func TestArenaSnapshotRoundTrip(t *testing.T) {
@@ -50,8 +52,8 @@ func TestArenaSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	eager, ok := eagerIdx.(*core.FrozenIndex)
-	if !ok || !eager.ArenaForm() {
-		t.Fatalf("v4 snapshot decoded as %T", eagerIdx)
+	if !ok {
+		t.Fatalf("snapshot decoded as %T", eagerIdx)
 	}
 
 	mapMeta, mapped, err := MapSnapshotFile(path)
@@ -75,49 +77,75 @@ func TestArenaSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteSnapshotPicksArena: WriteSnapshot on an arena-form index emits a
-// v4 snapshot (v2 cannot carry scattered roots), while a plain frozen index
-// still writes v2 — and MapSnapshotFile refuses non-v4 files so callers fall
-// back to the eager reader.
+// TestWriteSnapshotPicksArena: WriteSnapshot emits the mmap-native layout
+// for any frozen index — freshly compiled by Freeze (contiguous roots) or
+// decoded from an arena — so both files map zero-copy and answer alike.
 func TestWriteSnapshotPicksArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	meta, idx, _ := buildSnapshot(t, rng, 32, 4)
 	frozen := core.Freeze(idx)
-
-	// Round-trip through the arena codec to obtain an arena-form index.
 	var arena bytes.Buffer
-	if err := frozen.EncodeArena(&arena, true); err != nil {
+	if err := frozen.Encode(&arena, true); err != nil {
 		t.Fatal(err)
 	}
 	arenaIdx, err := core.DecodeArenaBytes(arena.Bytes(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
+	oracle := core.NewSearcher(idx)
+	for i, src := range []*core.FrozenIndex{frozen, arenaIdx} {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, meta, src); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("s%d.hasn", i))
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, mapped, err := MapSnapshotFile(path)
+		if err != nil {
+			t.Fatalf("source %d: %v", i, err)
+		}
+		msr := core.NewSearcher(mapped)
+		for _, q := range idx.Codes()[:10] {
+			want := append([]int(nil), oracle.Search(q, 3)...)
+			if got := msr.Search(q, 3); !sameIDs(got, want) {
+				t.Fatalf("source %d: mapped snapshot answers %d ids, want %d", i, len(got), len(want))
+			}
+		}
+		mapped.Close()
+	}
+}
 
-	var v4, v2 bytes.Buffer
-	if err := WriteSnapshot(&v4, meta, arenaIdx); err != nil {
+// TestSnapshotRejectsRetiredVersions: HASN versions 1–3 (pointer, v2 frozen
+// and MIH embeddings) are no longer read; both readers reject the header
+// with an error naming the version, before touching the body.
+func TestSnapshotRejectsRetiredVersions(t *testing.T) {
+	dir := t.TempDir()
+	path, _, _ := writeArenaSnapshot(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshot(&v2, meta, frozen); err != nil {
-		t.Fatal(err)
+	// The version is the single-byte varint right after the magic.
+	if data[4] != snapshotVersion {
+		t.Fatalf("snapshot version byte %d, want %d", data[4], snapshotVersion)
 	}
-	if _, gotIdx, err := ReadSnapshot(bytes.NewReader(v4.Bytes())); err != nil {
-		t.Fatalf("v4 via WriteSnapshot: %v", err)
-	} else if fi, ok := gotIdx.(*core.FrozenIndex); !ok || !fi.ArenaForm() {
-		t.Fatalf("arena-form index snapshot decoded as %T", gotIdx)
-	}
-	if _, gotIdx, err := ReadSnapshot(bytes.NewReader(v2.Bytes())); err != nil {
-		t.Fatal(err)
-	} else if fi, ok := gotIdx.(*core.FrozenIndex); !ok || fi.ArenaForm() {
-		t.Fatalf("plain frozen snapshot decoded as %T arenaForm", gotIdx)
-	}
-
-	path := filepath.Join(t.TempDir(), "v2.hasn")
-	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := MapSnapshotFile(path); err == nil {
-		t.Fatal("MapSnapshotFile accepted a v2 snapshot")
+	for _, v := range []byte{1, 2, 3} {
+		old := append([]byte(nil), data...)
+		old[4] = v
+		want := fmt.Sprintf("version %d", v)
+		if _, _, err := ReadSnapshot(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadSnapshot on version %d: %v", v, err)
+		}
+		bad := filepath.Join(dir, "old.hasn")
+		if err := os.WriteFile(bad, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := MapSnapshotFile(bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("MapSnapshotFile on version %d: %v", v, err)
+		}
 	}
 }
 
@@ -144,17 +172,17 @@ func TestArenaSnapshotCorrupt(t *testing.T) {
 		t.Fatal("embedded arena not found")
 	}
 
-	// Splice: v4 header claiming an arena but embedding a v2 body.
+	// Splice: a snapshot header over a v1 pointer-index body.
 	spliced := append([]byte(nil), data[:arenaOff]...)
 	rng := rand.New(rand.NewSource(46))
 	_, idx, _ := buildSnapshot(t, rng, 64, 3)
-	var v2body bytes.Buffer
-	if err := core.Freeze(idx).Encode(&v2body, true); err != nil {
+	var v1body bytes.Buffer
+	if err := idx.Encode(&v1body, true); err != nil {
 		t.Fatal(err)
 	}
-	spliced = append(spliced, v2body.Bytes()...)
+	spliced = append(spliced, v1body.Bytes()...)
 	if _, _, err := ReadSnapshot(bytes.NewReader(spliced)); err == nil {
-		t.Error("v4 header over v2 body accepted")
+		t.Error("snapshot header over a v1 body accepted")
 	}
 
 	// Deleting one byte just before the arena either breaks the pad chain or

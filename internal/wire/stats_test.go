@@ -29,49 +29,22 @@ func fullStats() StatsResp {
 	}
 }
 
-// clampStats zeroes the field groups a session at the given version never
-// sees — the expected parse of an AppendVersion(v) payload.
-func clampStats(m StatsResp, version int) StatsResp {
-	if version < 6 {
-		m.CacheEntries, m.CacheHits, m.CacheMisses, m.AdmissionP50Ns, m.PoolIdle = 0, 0, 0, 0, 0
-	}
-	if version < 2 {
-		m.LatencyP50Ns, m.LatencyP95Ns, m.LatencyP99Ns, m.LatencyMaxNs = 0, 0, 0, 0
-	}
-	return m
-}
-
-// TestStatsRespDowngrade pins the version-negotiated StatsResp layouts: a
-// payload encoded for any negotiated version v in [1, Version] must parse
-// without error, round-trip every field group v includes, and leave the
-// newer groups zero. This is the downgrade contract the server's MsgStats
-// handler relies on — older peers reject trailing bytes, so the groups must
-// nest exactly.
-func TestStatsRespDowngrade(t *testing.T) {
+// TestStatsRespRoundTrip: every field survives the round trip, and every
+// strict prefix of the payload — a peer with fewer fields — is rejected.
+func TestStatsRespRoundTrip(t *testing.T) {
 	st := fullStats()
-	for v := 1; v <= Version; v++ {
-		got, err := ParseStatsResp(st.AppendVersion(nil, v))
-		if err != nil {
-			t.Fatalf("version %d: %v", v, err)
-		}
-		if want := clampStats(st, v); got != want {
-			t.Fatalf("version %d: parsed %+v, want %+v", v, got, want)
-		}
+	full := st.Append(nil)
+	got, err := ParseStatsResp(full)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The nesting property itself: each version's payload is a prefix of the
-	// next one's, so a newer parser never misreads an older server.
-	for v := 1; v < Version; v++ {
-		a, b := st.AppendVersion(nil, v), st.AppendVersion(nil, v+1)
-		if len(a) > len(b) || string(b[:len(a)]) != string(a) {
-			t.Fatalf("version %d payload is not a prefix of version %d", v, v+1)
+	if got != st {
+		t.Fatalf("parsed %+v, want %+v", got, st)
+	}
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := ParseStatsResp(full[:cut]); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte payload accepted", cut, len(full))
 		}
-	}
-	// AppendV1 and Append are the endpoints of the same family.
-	if string(st.AppendV1(nil)) != string(st.AppendVersion(nil, 1)) {
-		t.Fatal("AppendV1 disagrees with AppendVersion(1)")
-	}
-	if string(st.Append(nil)) != string(st.AppendVersion(nil, Version)) {
-		t.Fatal("Append disagrees with AppendVersion(Version)")
 	}
 }
 
@@ -88,7 +61,7 @@ func TestStatsRespCorruptInputs(t *testing.T) {
 		{"truncated varint", append(append([]byte(nil), full[:9]...), 0x80)},
 		{"trailing garbage varint", append(append([]byte(nil), full...), 0x80)},
 		{"one extra field", append(append([]byte(nil), full...), 7)},
-		{"mid-latency cut", fullStats().AppendVersion(nil, 2)[:10]},
+		{"mid-latency cut", full[:10]},
 		{"continuation-only", []byte{0x80, 0x80, 0x80}},
 	}
 	for _, tc := range cases {
@@ -98,35 +71,32 @@ func TestStatsRespCorruptInputs(t *testing.T) {
 	}
 }
 
-// FuzzStatsRespDowngrade throws arbitrary bytes and all version-sliced
-// encodings of them at the parser: it must never panic, and every payload
-// the encoder can produce must re-encode to the identical bytes at the
-// version that produced it.
-func FuzzStatsRespDowngrade(f *testing.F) {
-	f.Add(fullStats().Append(nil), 6)
-	f.Add(fullStats().AppendVersion(nil, 1), 1)
-	f.Add(fullStats().AppendVersion(nil, 2), 2)
-	f.Add([]byte{0x80}, 3)
-	f.Fuzz(func(t *testing.T, data []byte, version int) {
+// FuzzStatsResp throws arbitrary bytes at the parser: it must never panic,
+// parse∘append must be the identity on whatever it accepts, and the
+// re-encoded payload must be rejected when cut short or followed by a byte.
+func FuzzStatsResp(f *testing.F) {
+	f.Add(fullStats().Append(nil))
+	f.Add(StatsResp{}.Append(nil))
+	f.Add(StatsResp{Requests: 1 << 62, PoolIdle: 3}.Append(nil))
+	f.Add([]byte{0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ParseStatsResp(data)
 		if err != nil {
 			return
 		}
-		v := version
-		if v < 1 {
-			v = 1
-		}
-		if v > Version {
-			v = Version
-		}
-		// Round trip at every negotiated level: parse must accept what
-		// AppendVersion emits and recover exactly the clamped fields.
-		got, err := ParseStatsResp(m.AppendVersion(nil, v))
+		enc := m.Append(nil)
+		got, err := ParseStatsResp(enc)
 		if err != nil {
-			t.Fatalf("version %d re-parse: %v", v, err)
+			t.Fatalf("re-parse: %v", err)
 		}
-		if want := clampStats(m, v); got != want {
-			t.Fatalf("version %d: %+v, want %+v", v, got, want)
+		if got != m {
+			t.Fatalf("round trip: %+v, want %+v", got, m)
+		}
+		if _, err := ParseStatsResp(enc[:len(enc)-1]); err == nil {
+			t.Fatal("truncated payload accepted")
+		}
+		if _, err := ParseStatsResp(append(enc, 0)); err == nil {
+			t.Fatal("payload with a trailing byte accepted")
 		}
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"haindex/internal/bitvec"
 	"haindex/internal/core"
 	"haindex/internal/histo"
-	"haindex/internal/mih"
 )
 
 func randCodes(rng *rand.Rand, n, bits int) []bitvec.Code {
@@ -153,6 +152,8 @@ func TestParseErrorPaths(t *testing.T) {
 	}
 }
 
+// buildSnapshot writes one partition of random codes as a snapshot and
+// returns the pointer index over the same tuples as the oracle.
 func buildSnapshot(t testing.TB, rng *rand.Rand, bits, parts int) (SnapshotMeta, *core.DynamicIndex, []byte) {
 	codes := randCodes(rng, 300, bits)
 	pivots := histo.Pivots(codes[:100], parts)
@@ -167,7 +168,7 @@ func buildSnapshot(t testing.TB, rng *rand.Rand, bits, parts int) (SnapshotMeta,
 	}
 	idx := core.BuildDynamic(own, ids, core.Options{})
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, meta, idx); err != nil {
+	if err := WriteSnapshot(&buf, meta, core.Freeze(idx)); err != nil {
 		t.Fatal(err)
 	}
 	return meta, idx, buf.Bytes()
@@ -197,21 +198,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrozenSnapshotRoundTrip: the eager reader yields a frozen index that
+// answers exactly like the pointer oracle.
 func TestFrozenSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	meta, idx, _ := buildSnapshot(t, rng, 32, 4)
-	frozen := core.Freeze(idx)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, meta, frozen); err != nil {
-		t.Fatal(err)
-	}
-	gotMeta, gotIdx, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	meta, idx, data := buildSnapshot(t, rng, 32, 4)
+	gotMeta, gotIdx, err := ReadSnapshot(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotFrozen, ok := gotIdx.(*core.FrozenIndex)
 	if !ok {
-		t.Fatalf("frozen snapshot decoded as %T", gotIdx)
+		t.Fatalf("snapshot decoded as %T", gotIdx)
 	}
 	if gotMeta.Part != meta.Part || gotMeta.Parts != meta.Parts || gotMeta.Length != meta.Length {
 		t.Fatalf("meta: %+v vs %+v", gotMeta, meta)
@@ -252,7 +250,7 @@ func TestSnapshotErrors(t *testing.T) {
 		}
 	}
 	// Inconsistent meta must fail validation on write.
-	idx := core.BuildDynamic(randCodes(rng, 10, 16), nil, core.Options{})
+	idx := core.Freeze(core.BuildDynamic(randCodes(rng, 10, 16), nil, core.Options{}))
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, SnapshotMeta{Part: 5, Parts: 2, Length: 16, Pivots: randCodes(rng, 1, 16)}, idx); err == nil {
 		t.Error("out-of-range partition accepted")
@@ -272,18 +270,13 @@ func idxLen(t *testing.T, data []byte) int {
 	return len(data) - i
 }
 
-// TestSearchReqEngineHint: the v4 trailing engine field round-trips, the
-// auto default stays off the wire (byte-identical to v3), and unknown hints
+// TestSearchReqEngineHint: the engine field round-trips and unknown hints
 // are rejected.
 func TestSearchReqEngineHint(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	queries := randCodes(rng, 3, 64)
-	base := SearchReq{H: 4, Queries: queries}.Append(nil)
 	for _, engine := range []int{EngineAuto, EngineHA, EngineMIH, EngineScan} {
 		payload := SearchReq{H: 4, Engine: engine, Queries: queries}.Append(nil)
-		if engine == EngineAuto && !bytes.Equal(payload, base) {
-			t.Fatal("auto engine changed the encoding")
-		}
 		got, err := ParseSearchReq(payload, 64)
 		if err != nil {
 			t.Fatalf("engine %s: %v", EngineName(engine), err)
@@ -292,31 +285,22 @@ func TestSearchReqEngineHint(t *testing.T) {
 			t.Fatalf("engine %s round trip: %+v", EngineName(engine), got)
 		}
 	}
-	// An out-of-range hint and garbage after the hint must both fail.
-	if _, err := ParseSearchReq(append(append([]byte(nil), base...), 9), 64); err == nil {
+	// The engine is the second-to-last varint.
+	bad := SearchReq{H: 4, Queries: queries}.Append(nil)
+	bad[len(bad)-2] = 9
+	if _, err := ParseSearchReq(bad, 64); err == nil {
 		t.Error("unknown engine hint accepted")
-	}
-	// One extra varint after the engine hint is a v5 priority class; two
-	// extra are garbage.
-	withHint := SearchReq{H: 4, Engine: EngineMIH, Queries: queries}.Append(nil)
-	if _, err := ParseSearchReq(append(append([]byte(nil), withHint...), 1, 1), 64); err == nil {
-		t.Error("trailing bytes after engine hint and priority accepted")
 	}
 }
 
-// TestSearchReqPriority: the v5 trailing priority class round-trips (with
-// and without an engine hint), the normal default stays off the wire, and
-// out-of-range classes are rejected.
+// TestSearchReqPriority: the priority class round-trips with and without an
+// engine hint, and out-of-range classes are rejected.
 func TestSearchReqPriority(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	queries := randCodes(rng, 2, 32)
-	base := SearchReq{H: 3, Queries: queries}.Append(nil)
 	for _, engine := range []int{EngineAuto, EngineMIH} {
 		for _, prio := range []int{PriorityNormal, PriorityInteractive, PriorityBatch} {
 			payload := SearchReq{H: 3, Engine: engine, Priority: prio, Queries: queries}.Append(nil)
-			if engine == EngineAuto && prio == PriorityNormal && !bytes.Equal(payload, base) {
-				t.Fatal("default engine+priority changed the encoding")
-			}
 			got, err := ParseSearchReq(payload, 32)
 			if err != nil {
 				t.Fatalf("engine %s priority %s: %v", EngineName(engine), PriorityName(prio), err)
@@ -326,67 +310,35 @@ func TestSearchReqPriority(t *testing.T) {
 			}
 		}
 	}
-	// A nonzero priority forces the engine placeholder onto the wire, so the
-	// two trailing varints stay positional.
-	withPrio := SearchReq{H: 3, Priority: PriorityBatch, Queries: queries}.Append(nil)
-	if len(withPrio) != len(base)+2 {
-		t.Fatalf("priority-only encoding is %d bytes, want %d", len(withPrio), len(base)+2)
-	}
-	// An out-of-range class and garbage after it must both fail.
 	bad := SearchReq{H: 3, Engine: EngineHA, Queries: queries}.Append(nil)
-	if _, err := ParseSearchReq(append(bad, 7), 32); err == nil {
+	bad[len(bad)-1] = 7
+	if _, err := ParseSearchReq(bad, 32); err == nil {
 		t.Error("unknown priority class accepted")
-	}
-	if _, err := ParseSearchReq(append(withPrio, 1), 32); err == nil {
-		t.Error("trailing bytes after priority accepted")
 	}
 }
 
-// TestSearchReqDowngrade: a v5 client encoding for an older negotiated
-// session omits exactly the fields the peer cannot parse — the priority
-// class below version 5, the engine hint below version 4 — leaving the
-// request byte-identical to what a native client of that version sends.
-func TestSearchReqDowngrade(t *testing.T) {
+// TestSearchReqFixedLayout: every request carries both the engine and the
+// priority field, defaults included, and a payload missing either — or
+// carrying anything after them — is rejected rather than defaulted.
+func TestSearchReqFixedLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	queries := randCodes(rng, 2, 32)
-	req := SearchReq{H: 5, Engine: EngineMIH, Priority: PriorityInteractive, Queries: queries}
-
-	v3 := req.AppendVersion(nil, 3)
-	v3native := SearchReq{H: 5, Queries: queries}.AppendVersion(nil, 3)
-	if !bytes.Equal(v3, v3native) {
-		t.Fatal("v3 downgrade not byte-identical to a native v3 request")
+	full := SearchReq{H: 5, Queries: queries}.Append(nil)
+	// H, count, and the two fixed-width codes, then engine and priority.
+	if want := 1 + 1 + 2*bitvec.EncodedLen(32) + 2; len(full) != want {
+		t.Fatalf("default request is %d bytes, want %d", len(full), want)
 	}
-	got, err := ParseSearchReq(v3, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Engine != EngineAuto || got.Priority != PriorityNormal {
-		t.Fatalf("v3 downgrade kept dropped fields: %+v", got)
-	}
-
-	v4 := req.AppendVersion(nil, 4)
-	v4native := SearchReq{H: 5, Engine: EngineMIH, Queries: queries}.AppendVersion(nil, 4)
-	if !bytes.Equal(v4, v4native) {
-		t.Fatal("v4 downgrade not byte-identical to a native v4 request")
-	}
-	got, err = ParseSearchReq(v4, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Engine != EngineMIH || got.Priority != PriorityNormal {
-		t.Fatalf("v4 downgrade: engine kept, priority dropped, got %+v", got)
-	}
-
-	v5 := req.AppendVersion(nil, 5)
-	if !bytes.Equal(v5, req.Append(nil)) {
-		t.Fatal("current-version AppendVersion differs from Append")
-	}
-	got, err = ParseSearchReq(v5, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Engine != EngineMIH || got.Priority != PriorityInteractive {
-		t.Fatalf("v5 round trip: %+v", got)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"no engine or priority", full[:len(full)-2]},
+		{"no priority", full[:len(full)-1]},
+		{"trailing byte", append(append([]byte(nil), full...), 0)},
+	} {
+		if _, err := ParseSearchReq(tc.data, 32); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 
@@ -405,57 +357,5 @@ func TestShedRespRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseShedResp(nil); err == nil {
 		t.Error("empty payload accepted")
-	}
-}
-
-// TestMIHSnapshotRoundTrip: a v3 snapshot embeds the MIH arena encoding and
-// decodes back to the engine behind the core.Index adapter.
-func TestMIHSnapshotRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	meta, idx, _ := buildSnapshot(t, rng, 32, 4)
-	m, err := mih.FromTuples(core.Freeze(idx), mih.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, meta, core.AsIndex(m)); err != nil {
-		t.Fatal(err)
-	}
-	gotMeta, gotIdx, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ei, ok := gotIdx.(*core.EngineIndex)
-	if !ok {
-		t.Fatalf("MIH snapshot decoded as %T", gotIdx)
-	}
-	if _, ok := ei.Engine().(*mih.Index); !ok {
-		t.Fatalf("decoded adapter wraps %T", ei.Engine())
-	}
-	if gotMeta.Parts != meta.Parts || gotIdx.Len() != idx.Len() {
-		t.Fatalf("meta/tuples mismatch: %+v len=%d want %d", gotMeta, gotIdx.Len(), idx.Len())
-	}
-	sr := core.NewSearcher(gotIdx)
-	oracle := core.NewSearcher(idx)
-	for _, q := range idx.Codes()[:10] {
-		got := append([]int(nil), sr.Search(q, 3)...)
-		want := append([]int(nil), oracle.Search(q, 3)...)
-		sort.Ints(got)
-		sort.Ints(want)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("MIH snapshot answers differently: %v vs %v", got, want)
-		}
-	}
-	// A version-3 header spliced onto a frozen index body must be rejected.
-	frozen := core.Freeze(idx)
-	var fbuf bytes.Buffer
-	if err := WriteSnapshot(&fbuf, meta, frozen); err != nil {
-		t.Fatal(err)
-	}
-	spliced := append([]byte(nil), buf.Bytes()[:bytes.Index(buf.Bytes(), []byte("HADX"))]...)
-	fb := fbuf.Bytes()
-	spliced = append(spliced, fb[bytes.Index(fb, []byte("HADX")):]...)
-	if _, _, err := ReadSnapshot(bytes.NewReader(spliced)); err == nil {
-		t.Error("snapshot with mismatched header/index versions accepted")
 	}
 }
